@@ -23,11 +23,14 @@ measurement boundary is set by warm-up fill pressure — while the
 request totals and per-page counts describe the measured region only,
 exactly the region the simulator scores.
 
-Distances are computed with Fenwick (binary indexed) trees in
-``O(n log n)`` — unlike :func:`repro.trace.mrc.stack_distances`'s
-``O(n * d)`` list walk.  Long measured regions are truncated at
-``sample_cap`` accesses; counts over the per-access arrays then carry
-a scale-up ``weight``, while the totals stay exact.
+Both distance arrays come from
+:func:`repro.trace.mrc.stack_distance_arrays`, the repository's one
+stack-distance kernel: a stable argsort finds each access's previous
+occurrence, and a vectorised wavelet-matrix dominance count turns
+those into distinct-page counts in ``O(n log n)`` int32 numpy work.
+Long measured regions are truncated at ``sample_cap`` accesses; counts
+over the per-access arrays then carry a scale-up ``weight``, while the
+totals stay exact.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.trace.mrc import stack_distance_arrays
 from repro.trace.trace import Trace
 from repro.workloads.parsec import WorkloadInstance
 
@@ -45,74 +49,6 @@ __all__ = ["WorkloadProfile", "profile_trace", "profile_workload"]
 #: longer measured regions are profiled on a prefix and scaled up by
 #: ``weight``.
 DEFAULT_SAMPLE_CAP = 400_000
-
-
-def _bit_add(tree: list[int], index: int, delta: int) -> None:
-    """Fenwick point update at 1-based ``index``."""
-    size = len(tree)
-    while index < size:
-        tree[index] += delta
-        index += index & -index
-
-
-def _bit_sum(tree: list[int], index: int) -> int:
-    """Fenwick prefix sum over 1-based ``1..index``."""
-    total = 0
-    while index > 0:
-        total += tree[index]
-        index -= index & -index
-    return total
-
-
-def _distance_arrays(
-    pages: list[int], writes: list[bool]
-) -> tuple[np.ndarray, np.ndarray]:
-    """LRU stack distance and write-recency distance per access.
-
-    ``distances[i]`` is the number of distinct pages accessed since
-    access ``i``'s page was last accessed (-1 on first touch): the
-    Mattson stack distance.  ``write_distances[i]`` is the number of
-    distinct pages *written* since the page was last *written* (-1 if
-    never written): the page's 0-based position in the most-recently-
-    written ordering.  Both in one ``O(n log n)`` Fenwick pass.
-    """
-    limit = len(pages)
-    distances = np.empty(limit, dtype=np.int64)
-    write_distances = np.empty(limit, dtype=np.int64)
-    access_tree = [0] * (limit + 1)
-    write_tree = [0] * (limit + 1)
-    last_access: dict[int, int] = {}
-    last_write: dict[int, int] = {}
-    for position in range(limit):
-        page = pages[position]
-        previous = last_access.get(page, -1)
-        if previous < 0:
-            distances[position] = -1
-        else:
-            # Distinct pages touched strictly between the accesses:
-            # each such page has exactly one live position in the tree.
-            distances[position] = (
-                _bit_sum(access_tree, position)
-                - _bit_sum(access_tree, previous + 1)
-            )
-            _bit_add(access_tree, previous + 1, -1)
-        _bit_add(access_tree, position + 1, 1)
-        last_access[page] = position
-
-        written = last_write.get(page, -1)
-        if written < 0:
-            write_distances[position] = -1
-        else:
-            write_distances[position] = (
-                _bit_sum(write_tree, position)
-                - _bit_sum(write_tree, written + 1)
-            )
-        if writes[position]:
-            if written >= 0:
-                _bit_add(write_tree, written + 1, -1)
-            _bit_add(write_tree, position + 1, 1)
-            last_write[page] = position
-    return distances, write_distances
 
 
 @dataclass(frozen=True)
@@ -175,8 +111,8 @@ def profile_trace(
     sampled = measured if sample_cap is None else min(measured, sample_cap)
     limit = boundary + sampled
 
-    distances, write_distances = _distance_arrays(
-        pages[:limit].tolist(), writes[:limit].tolist()
+    distances, write_distances = stack_distance_arrays(
+        pages[:limit], writes[:limit]
     )
     page_ids, inverse = np.unique(pages[:limit], return_inverse=True)
     inverse = inverse.astype(np.int64)

@@ -4,8 +4,13 @@ tier-membership propagation, the estimators and the RunSpec plumbing
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.executor import ParallelExecutor, ResultCache
 from repro.experiments.runspec import ENGINES, RunSpec
@@ -29,6 +34,29 @@ from repro.trace.trace import Trace
 from repro.workloads.parsec import parsec_workload
 
 SCALE = 0.0005  # fast grid scale shared with the validation suite
+
+
+def _list_walk(pages, moves):
+    """Reference recency-stack distances by an ``O(n * d)`` list walk.
+
+    Each access reports how many pages sit above its page in the stack
+    (-1 if absent); an access with ``moves[i]`` set then moves its page
+    to the top.  Moving on every access gives Mattson stack distances;
+    moving on writes only gives write-recency distances.
+    """
+    stack: list[int] = []          # most recent last
+    distances = []
+    for page, move in zip(pages, moves):
+        if page in stack:
+            location = stack.index(page)
+            distances.append(len(stack) - 1 - location)
+            if move:
+                stack.pop(location)
+        else:
+            distances.append(-1)
+        if move:
+            stack.append(page)
+    return distances
 
 
 def _trace(pages, writes=None, name="t"):
@@ -131,13 +159,6 @@ class TestPromotionChain:
 # Workload profiling
 # ---------------------------------------------------------------------------
 class TestProfile:
-    def test_fenwick_distances_match_reference(self):
-        rng = np.random.default_rng(11)
-        trace = _trace(rng.integers(0, 40, size=600))
-        profile = profile_trace(trace)
-        expected = stack_distances(trace)
-        assert np.array_equal(profile.distances, expected)
-
     def test_write_distance_tracks_written_ordering(self):
         # Pages 0,1,2 written in order, then page 0 read: two distinct
         # pages (1, 2) written since 0's last write.
@@ -166,6 +187,50 @@ class TestProfile:
         total = len(instance.trace.pages)
         assert profile.boundary == int(total * instance.warmup_fraction)
         assert profile.requests == total - profile.boundary
+
+
+_ACCESSES = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=12), st.booleans()),
+    max_size=200,
+)
+_REPEATED = [(5, True), (5, False)] * 6
+_MIXED = [(page, page % 3 == 0) for page in (0, 1, 2, 0, 3, 1, 4, 0, 2, 5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    accesses=_ACCESSES,
+    warmup=st.sampled_from([0.0, 0.5, 0.99]) | st.floats(0.0, 0.99),
+    sample_cap=st.none() | st.integers(min_value=1, max_value=250),
+)
+@example(accesses=[], warmup=0.0, sample_cap=None)
+@example(accesses=[(3, True)], warmup=0.0, sample_cap=None)
+@example(accesses=_REPEATED, warmup=0.0, sample_cap=None)
+@example(accesses=[(p, False) for p, _ in _MIXED], warmup=0.0,
+         sample_cap=None)
+@example(accesses=[(p, True) for p, _ in _MIXED], warmup=0.0,
+         sample_cap=None)
+@example(accesses=_MIXED, warmup=0.99, sample_cap=None)
+@example(accesses=_MIXED, warmup=0.2, sample_cap=3)
+def test_profile_distances_match_list_walk(accesses, warmup, sample_cap):
+    pages = [page for page, _ in accesses]
+    writes = [written for _, written in accesses]
+    trace = _trace(pages, writes)
+    profile = profile_trace(trace, warmup_fraction=warmup,
+                            sample_cap=sample_cap)
+    limit = profile.boundary + profile.sampled
+    expected = _list_walk(pages, [True] * len(pages))
+    expected_writes = _list_walk(pages, writes)
+    assert profile.distances.dtype == np.int64
+    assert profile.write_distances.dtype == np.int64
+    assert profile.distances.tolist() == expected[:limit]
+    assert profile.write_distances.tolist() == expected_writes[:limit]
+    if not any(writes):
+        assert (profile.write_distances == -1).all()
+    capped = len(pages) if sample_cap is None else min(len(pages),
+                                                       sample_cap)
+    assert stack_distances(trace, sample_cap=sample_cap).tolist() == \
+        expected[:capped]
 
 
 # ---------------------------------------------------------------------------
@@ -424,3 +489,38 @@ class TestEnginePlumbing:
                            engine="analytic")
         executor.submit([sim, ana])
         assert executor.stats.cache_misses == 2  # distinct entries
+
+
+#: sha256 of the canonical JSON ``RunResult.to_dict()`` of analytic
+#: Fig. 4 cells at ``SCALE``, recorded with the Fenwick-tree profile
+#: that the vectorised stack-distance kernel replaced: every estimate
+#: must stay bit-identical.
+_ANALYTIC_GOLDEN = {
+    "dedup/clock-dwf":
+        "af73c886ceaa78d6765af4622de6aa15c24a677dce4c87e66b7340eba949f007",
+    "dedup/proposed":
+        "1d6f83be9e2e3b65f3ae5a30e17a92c4da62dcbb7dfe285e35e14997f660834f",
+    "streamcluster/clock-dwf":
+        "f3fcae2596fa4ada246b26456a0dd400491d41eabfe47546809a37b36006c71d",
+    "streamcluster/proposed":
+        "c88bcb8ba2b9f5bd251236042cd077d2ca1fed6cb5247fa7619305201a5e3f15",
+    "raytrace/clock-dwf":
+        "e408efe6b016dbd16f16f9a233f8f62b1a70b45f38285c4ae43a0c03e36aa065",
+    "raytrace/proposed":
+        "1d7cbe187aa1ba7e87f506885a94e5e9e532283c3367e47614179905294afcff",
+    "canneal/clock-dwf":
+        "b097ae3dd157fc806e106382982f032164d667f2a451336d9dd8fba16440a5fa",
+    "canneal/proposed":
+        "66373685eff08f3e0412bf35c9e07eaa71b2804b192713734053588a280ed629",
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_ANALYTIC_GOLDEN))
+def test_analytic_cells_bit_identical(cell):
+    workload, policy = cell.split("/")
+    result = RunSpec.core(workload, policy, request_scale=SCALE,
+                          engine="analytic").execute()
+    text = json.dumps(result.to_dict(), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        _ANALYTIC_GOLDEN[cell]
