@@ -21,27 +21,49 @@ deterministic.  This package machine-checks those contracts:
   ``REPRO_SANITIZE=1`` environment default).
 """
 
-from repro.analysis.autofix import fix_paths
-from repro.analysis.findings import Finding
-from repro.analysis.interproc import DEEP_RULES
-from repro.analysis.lint import lint_paths
-from repro.analysis.rules import DEFAULT_RULES, LintRule
-from repro.analysis.sanitizer import (
-    SANITIZE_ENV,
-    SanitizedPolicy,
-    SanitizerError,
-    sanitize_default,
-)
+from __future__ import annotations
 
-__all__ = [
-    "DEEP_RULES",
-    "DEFAULT_RULES",
-    "Finding",
-    "LintRule",
-    "SANITIZE_ENV",
-    "SanitizedPolicy",
-    "SanitizerError",
-    "fix_paths",
-    "lint_paths",
-    "sanitize_default",
-]
+import importlib
+from typing import TYPE_CHECKING, Any
+
+#: Public name -> defining submodule.  Imported on first attribute
+#: access (PEP 562): the simulator only needs :mod:`.sanitizer`, and
+#: loading the lint tiers (rules, flow CFGs, call graph) with it would
+#: cost every run's start-up.
+_EXPORTS = {
+    "DEEP_RULES": "repro.analysis.interproc",
+    "DEFAULT_RULES": "repro.analysis.rules",
+    "Finding": "repro.analysis.findings",
+    "LintRule": "repro.analysis.rules",
+    "SANITIZE_ENV": "repro.analysis.sanitizer",
+    "SanitizedPolicy": "repro.analysis.sanitizer",
+    "SanitizerError": "repro.analysis.sanitizer",
+    "fix_paths": "repro.analysis.autofix",
+    "lint_paths": "repro.analysis.lint",
+    "sanitize_default": "repro.analysis.sanitizer",
+}
+
+__all__ = sorted(_EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.analysis.autofix import fix_paths
+    from repro.analysis.findings import Finding
+    from repro.analysis.interproc import DEEP_RULES
+    from repro.analysis.lint import lint_paths
+    from repro.analysis.rules import DEFAULT_RULES, LintRule
+    from repro.analysis.sanitizer import (
+        SANITIZE_ENV,
+        SanitizedPolicy,
+        SanitizerError,
+        sanitize_default,
+    )
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

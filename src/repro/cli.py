@@ -49,15 +49,15 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
-from repro.analysis.cli import list_rules, run_lint
 from repro.analysis.sanitizer import SANITIZE_ENV
 from repro.experiments.claims import claims_hold, verify_claims
 from repro.experiments.executor import (
     DEFAULT_CACHE_DIR,
     ParallelExecutor,
     ResultCache,
+    collect_events,
 )
 from repro.experiments.figures import FIGURE_BUILDERS
 from repro.experiments.report import render_figure, render_table
@@ -189,8 +189,25 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _executor_from(args) -> ParallelExecutor:
-    """Build the executor the grid commands share (--jobs/--cache).
+class _RecordingExecutor(ParallelExecutor):
+    """The ``--events`` collection point of ``figure``, ``claims`` and
+    ``sweep``, whose experiment code hands back metrics only: keeps the
+    ``(spec, result)`` pairs of every batch it executes until the
+    command exits.  The resident ``serve`` never records."""
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        self.pairs: list[tuple[RunSpec, RunResult]] = []
+
+    def submit(self, specs: Sequence[RunSpec]) -> list[RunResult]:
+        specs = list(specs)
+        results = super().submit(specs)
+        self.pairs.extend(zip(specs, results))
+        return results
+
+
+def _executor_options(args) -> dict[str, Any]:
+    """Executor arguments of the shared grid flags (--jobs/--cache).
 
     ``--sanitize`` is applied here as the ``REPRO_SANITIZE``
     environment default, which the simulator reads in-process and
@@ -206,7 +223,12 @@ def _executor_from(args) -> ParallelExecutor:
     if getattr(args, "progress", False):
         def progress(done: int, total: int, spec) -> None:
             print(f"  [{done}/{total}] {spec.label()}", file=sys.stderr)
-    return ParallelExecutor(jobs=args.jobs, cache=cache, progress=progress)
+    return {"jobs": args.jobs, "cache": cache, "progress": progress}
+
+
+def _executor_from(args) -> ParallelExecutor:
+    """The executor the grid commands share."""
+    return ParallelExecutor(**_executor_options(args))
 
 
 def _event_config(args) -> EventConfig | None:
@@ -326,7 +348,8 @@ def _cmd_run(args) -> int:
 def _cmd_figure(args) -> int:
     if _engine_conflict(args):
         return 2
-    runner = ExperimentRunner(seed=args.seed, executor=_executor_from(args),
+    executor = _RecordingExecutor(**_executor_options(args))
+    runner = ExperimentRunner(seed=args.seed, executor=executor,
                               events=_event_config(args),
                               engine=args.engine,
                               sampling=_sampling_config(args))
@@ -344,8 +367,7 @@ def _cmd_figure(args) -> int:
             print()
         print(render_figure(FIGURE_BUILDERS[figure_id](runner)))
     if args.events:
-        _write_event_traces(args.events,
-                            runner.executor.collected_events())
+        _write_event_traces(args.events, collect_events(executor.pairs))
     return 0
 
 
@@ -378,7 +400,8 @@ def _cmd_tables(args) -> int:
 def _cmd_claims(args) -> int:
     if _engine_conflict(args):
         return 2
-    runner = ExperimentRunner(seed=args.seed, executor=_executor_from(args),
+    executor = _RecordingExecutor(**_executor_options(args))
+    runner = ExperimentRunner(seed=args.seed, executor=executor,
                               events=_event_config(args),
                               engine=args.engine,
                               sampling=_sampling_config(args))
@@ -395,12 +418,15 @@ def _cmd_claims(args) -> int:
     passed = sum(1 for r in results if r.holds)
     print(f"\n{passed}/{len(results)} claims hold")
     if args.events:
-        _write_event_traces(args.events,
-                            runner.executor.collected_events())
+        _write_event_traces(args.events, collect_events(executor.pairs))
     return 0 if claims_hold(results) else 1
 
 
 def _cmd_lint(args) -> int:
+    # Imported here: the lint machinery (rules, flow CFGs, call graph)
+    # costs every other command's start-up for nothing.
+    from repro.analysis.cli import list_rules, run_lint
+
     if args.list_rules:
         return list_rules()
     return run_lint(args.paths, select=args.select, deep=args.deep,
@@ -441,7 +467,7 @@ def _cmd_profile(args) -> int:
 def _cmd_sweep(args) -> int:
     if _engine_conflict(args):
         return 2
-    executor = _executor_from(args)
+    executor = _RecordingExecutor(**_executor_options(args))
     events = _event_config(args)
     sampling = _sampling_config(args)
     if args.kind == "threshold":
@@ -468,7 +494,7 @@ def _cmd_sweep(args) -> int:
         title=f"{args.kind} sweep on {args.workload}",
     ))
     if args.events:
-        _write_event_traces(args.events, executor.collected_events())
+        _write_event_traces(args.events, collect_events(executor.pairs))
     return 0
 
 

@@ -6,12 +6,13 @@ the CLI, the examples).  Beneath it sit two layers:
 
 * :class:`ParallelExecutor` — fans specs out over a ``multiprocessing``
   worker pool (``jobs`` workers, default ``os.cpu_count()``).  Each
-  worker process renders a workload at most once per scale/seed
-  (module-level cache), results are merged deterministically in input
-  order regardless of completion order, progress is reported through a
-  callback as results arrive, and worker failures are retried in the
-  parent and surfaced as :class:`ExecutorError` *after* the remaining
-  specs complete — a crash never deadlocks or starves the batch.
+  worker process renders a workload once per scale/seed while it stays
+  in a byte-budgeted LRU (:class:`~repro.memo.ByteLRU`), results are
+  merged deterministically in input order regardless of completion
+  order, progress is reported through a callback as results arrive,
+  and worker failures are retried in the parent and surfaced as
+  :class:`ExecutorError` *after* the remaining specs complete — a
+  crash never deadlocks or starves the batch.
 * :class:`ResultCache` — a content-addressed JSON cache under
   ``.repro-cache/``, keyed by ``RunSpec.digest()`` plus a code-version
   fingerprint (a hash over the simulation-relevant source trees), so
@@ -29,10 +30,11 @@ import tempfile
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import repro
 from repro.experiments.runspec import RunSpec
+from repro.memo import ByteLRU
 from repro.mmu.simulator import RunResult
 from repro.obs.summary import EventSummary
 from repro.workloads.parsec import WorkloadInstance
@@ -169,10 +171,18 @@ class ResultCache:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
+#: Byte budget of the rendered-workload cache.  One default-scale grid
+#: (the twelve PARSEC workloads at one seed) is 780,109 requests at
+#: 9 B each (int64 page, bool write flag), about 7.0 MB; 24 MiB holds
+#: three and a half grids.  An audit's grid never evicts, and a
+#: resident server keeps its current and previous cold seeds plus the
+#: seed of its streamed runs.
+INSTANCE_BUDGET_BYTES = 24 * 2**20
+
 #: Per-process rendered-workload cache: with ``fork`` each worker keeps
-#: its own copy, so a workload is rendered at most once per worker even
-#: when it appears in many specs.
-_INSTANCES: dict[tuple, WorkloadInstance] = {}  # repro: worker-local
+#: its own copy, so a workload is rendered once per worker while it
+#: stays within the budget, however many specs share it.
+_INSTANCES: ByteLRU[WorkloadInstance] = ByteLRU(INSTANCE_BUDGET_BYTES)  # repro: worker-local
 
 
 def _rendered(spec: RunSpec) -> WorkloadInstance:
@@ -182,9 +192,23 @@ def _rendered(spec: RunSpec) -> WorkloadInstance:
         # name must not collide in the per-worker instance cache.
         spec.source.digest if spec.source is not None else None,
     )
-    if key not in _INSTANCES:
-        _INSTANCES[key] = spec.render()
-    return _INSTANCES[key]
+    instance = _INSTANCES.get(key)
+    if instance is None:
+        instance = spec.render()
+        _INSTANCES[key] = instance
+    return instance
+
+
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Occupancy of this process's bounded caches — rendered workloads
+    and analytic profiles: entries, bytes, budget, evictions.
+
+    Operational state only; it never enters a result, a digest or a
+    cache key.
+    """
+    from repro.model.estimator import _PROFILES
+
+    return {"workloads": _INSTANCES.stats(), "profiles": _PROFILES.stats()}
 
 
 def _instance_for(spec: RunSpec) -> WorkloadInstance | None:
@@ -304,10 +328,6 @@ class ParallelExecutor:
         self.retries = retries
         self.start_method = start_method
         self.stats = ExecutorStats()
-        #: Event summaries of every completed event-bearing spec (the
-        #: summaries ride on RunResult, so cache hits and worker-pool
-        #: results land here alike).
-        self.event_summaries: dict[RunSpec, "EventSummary"] = {}
 
     # ------------------------------------------------------------------
     def submit(self, specs: Sequence[RunSpec]) -> list[RunResult]:
@@ -330,8 +350,6 @@ class ParallelExecutor:
         def _completed(spec: RunSpec, result: RunResult) -> None:
             nonlocal done
             results[spec] = result
-            if result.events is not None:
-                self.event_summaries[spec] = result.events
             done += 1
             if self.progress is not None:
                 self.progress(done, total, spec)
@@ -397,17 +415,6 @@ class ParallelExecutor:
         return [results[spec] for spec in specs]
 
     # ------------------------------------------------------------------
-    def collected_events(self) -> list[tuple[RunSpec, "EventSummary"]]:
-        """Event summaries collected so far, in deterministic order.
-
-        Sorted by :meth:`RunSpec.key`, so serial and ``jobs=N`` runs
-        (and cache-hit replays) report identical sequences.
-        """
-        return sorted(
-            self.event_summaries.items(), key=lambda item: item[0].key()
-        )
-
-    # ------------------------------------------------------------------
     def _run_with_retries(
         self, spec: RunSpec, first_error: str | None = None,
     ) -> tuple[RunResult | None, WorkerFailure | None]:
@@ -422,6 +429,22 @@ class ParallelExecutor:
             except Exception:
                 error = traceback.format_exc()
         return None, WorkerFailure(spec=spec, traceback=error or "")
+
+
+def collect_events(
+    pairs: Iterable[tuple[RunSpec, RunResult]],
+) -> list[tuple[RunSpec, EventSummary]]:
+    """The event summaries among ``(spec, result)`` pairs, one per
+    distinct spec, sorted by :meth:`RunSpec.key`.
+
+    The executor keeps no results between submits (a resident service
+    would grow without bound); callers that want event streams collect
+    them from the results they already hold.  The sort makes serial,
+    ``jobs=N`` and cache-hit runs report identical sequences.
+    """
+    events = {spec: result.events for spec, result in pairs
+              if result.events is not None}
+    return sorted(events.items(), key=lambda item: item[0].key())
 
 
 def execute_specs(

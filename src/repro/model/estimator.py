@@ -46,6 +46,7 @@ workload's profile is built.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import fields as _dataclass_fields
 from dataclasses import replace as _replace
 from typing import TYPE_CHECKING, Mapping
@@ -53,6 +54,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from repro.core.config import MigrationConfig
+from repro.memo import ByteLRU
 from repro.memory.accounting import AccessAccounting, WearAccounting
 from repro.memory.endurance import compute_nvm_writes, endurance_report
 from repro.memory.metrics import compute_performance
@@ -85,9 +87,16 @@ ANALYTIC_POLICIES = ("proposed", "clock-dwf", "dram-only*", "nvm-only*")
 
 _CONFIG_FIELDS = tuple(f.name for f in _dataclass_fields(MigrationConfig))
 
+#: Byte budget of the profile cache.  A profile costs 25 B per request
+#: (int64 distances, write distances and page index, bool write flag),
+#: so one default-scale grid of profiles is about 19.7 MB; 32 MiB holds
+#: a grid with room to spare, and an audit never re-profiles.
+PROFILE_BUDGET_BYTES = 32 * 2**20
+
 #: Profiles are expensive relative to estimates, so estimate_spec keeps
-#: one per rendered workload.  Worker processes each build their own.
-_PROFILES: dict[tuple, WorkloadProfile] = {}  # repro: worker-local
+#: one per rendered workload while it stays within the budget.  Worker
+#: processes each build their own.
+_PROFILES: ByteLRU[WorkloadProfile] = ByteLRU(PROFILE_BUDGET_BYTES)  # repro: worker-local
 
 
 class UnsupportedPolicyError(ValueError):
@@ -279,8 +288,10 @@ def _single_tier(
 #: the per-page reductions cost ``O(n)`` over the access arrays, while
 #: the config-dependent Markov stage is ``O(pages)`` — caching this
 #: stage is what makes parameter sweeps orders of magnitude faster
-#: than simulation.  Entries hold the profile, so ``id()`` keys stay
-#: valid.  Worker processes each build their own.
+#: than simulation.  Entries hold a weak reference to the profile: an
+#: ``id()`` key is trusted only while its profile is alive, and the
+#: cache never keeps a profile resident after ``_PROFILES`` evicts it.
+#: Worker processes each build their own.
 _MEMBERSHIP: dict[tuple, tuple] = {}  # repro: worker-local
 _MEMBERSHIP_LIMIT = 16
 
@@ -290,7 +301,7 @@ def _proposed_membership(
 ) -> dict:
     key = (id(profile), dram_frames, nvm_frames)
     cached = _MEMBERSHIP.get(key)
-    if cached is not None and cached[0] is profile:
+    if cached is not None and cached[0]() is profile:
         return cached[1]
     total_frames = dram_frames + nvm_frames
     npages = profile.page_ids.size
@@ -369,7 +380,7 @@ def _proposed_membership(
     }
     if len(_MEMBERSHIP) >= _MEMBERSHIP_LIMIT:
         _MEMBERSHIP.clear()
-    _MEMBERSHIP[key] = (profile, data)
+    _MEMBERSHIP[key] = (weakref.ref(profile), data)
     return data
 
 

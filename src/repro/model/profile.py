@@ -89,6 +89,12 @@ class WorkloadProfile:
     def write_ratio(self) -> float:
         return self.write_requests / self.requests if self.requests else 0.0
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the per-access and per-page arrays."""
+        return sum(value.nbytes for value in vars(self).values()
+                   if isinstance(value, np.ndarray))
+
     def weighted(self, mask: np.ndarray) -> float:
         """Scale a measured-span mask up to measured-region counts."""
         return float(np.count_nonzero(mask)) * self.weight

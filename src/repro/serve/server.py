@@ -7,7 +7,8 @@ block health checks.  The protocol is deliberately plain:
 endpoint    method  behaviour
 ==========  ======  ====================================================
 /healthz    GET     liveness probe: ``{"ok": true}``
-/stats      GET     service counters + executor/cache statistics
+/stats      GET     service counters, executor/cache statistics and
+                    the bounded in-memory caches (``caches``)
 /policies   GET     registered policy names
 /workloads  GET     PARSEC workload names (plus engines)
 /run        POST    body = spec payload; ``?stream=1`` answers with an
@@ -17,8 +18,9 @@ endpoint    method  behaviour
                     (the event stream rides on the cached result).
 /batch      POST    body = ``{"specs": [payload, ...]}``; results in
                     submission order
-/traces     POST    body = ``.trc`` text (``?name=`` optional); spills
-                    into the content-addressed store and returns the
+/traces     POST    body = ``.trc`` text (``?name=`` optional),
+                    decoded block by block; spills into the
+                    content-addressed store and returns the
                     ``SourceSpec`` dict (reference it from later runs
                     as ``{"source": "<digest>"}``)
 /shutdown   POST    clean stop (the CI smoke job's exit path)
@@ -26,7 +28,7 @@ endpoint    method  behaviour
 
 Streaming uses HTTP/1.0 connection-close delimiting — no chunked
 transfer encoding to hand-roll, and every stdlib/curl client handles
-it.
+it.  A malformed ``Content-Length`` (non-numeric, signed) is a 400.
 """
 
 from __future__ import annotations
@@ -35,10 +37,32 @@ import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, BinaryIO
 from urllib.parse import parse_qs, urlparse
 
 from repro.serve.service import ReproService, ServiceError
+
+
+class _BoundedBody(io.RawIOBase):
+    """The first ``length`` bytes of a request stream (the body), as a
+    raw stream that reports end-of-file where the body ends."""
+
+    def __init__(self, stream: io.BufferedIOBase | BinaryIO,
+                 length: int) -> None:
+        self._stream = stream
+        self._left = length
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer: Any) -> int:
+        want = min(len(buffer), self._left)
+        if want <= 0:
+            return 0
+        data = self._stream.read(want)
+        buffer[:len(data)] = data
+        self._left -= len(data)
+        return len(data)
 
 
 class ReproServer(ThreadingHTTPServer):
@@ -77,9 +101,24 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json({"error": message}, status=status)
 
+    def _content_length(self) -> int:
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            raise ServiceError(f"malformed Content-Length {raw!r}")
+        return int(raw)
+
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         return self.rfile.read(length) if length else b""
+
+    def _body_lines(self) -> io.TextIOWrapper:
+        """The request body as UTF-8 text lines, decoded block by block
+        so an upload of any size is ingested at constant memory.  Lines
+        split at ``\\n`` only: no newline translation, so a stray
+        ``\\r`` stays inside its line."""
+        body = io.BufferedReader(
+            _BoundedBody(self.rfile, self._content_length()))
+        return io.TextIOWrapper(body, encoding="utf-8", newline="\n")
 
     def _read_json(self) -> Any:
         raw = self._read_body()
@@ -135,8 +174,7 @@ class _Handler(BaseHTTPRequestHandler):
                 ]})
             elif url.path == "/traces":
                 name = query.get("name", [None])[0]
-                text = self._read_body().decode("utf-8")
-                source = service.ingest(io.StringIO(text), name=name)
+                source = service.ingest(self._body_lines(), name=name)
                 self._send_json({"source": source.to_dict()})
             elif url.path == "/shutdown":
                 self._send_json({"ok": True})

@@ -2,8 +2,8 @@
 
 A :class:`ReproService` is a resident façade over the experiment
 stack: one shared :class:`~repro.experiments.executor.ParallelExecutor`
-(and therefore one warm result cache and one set of per-worker
-rendered-workload caches), one content-addressed
+(and therefore one warm result cache and the byte-budgeted
+rendered-workload and profile caches), one content-addressed
 :class:`~repro.trace.TraceStore` for uploaded traces, and a tolerant
 payload-to-:class:`~repro.experiments.runspec.RunSpec` translation so
 HTTP clients can submit partial dicts instead of the full frozen
@@ -24,6 +24,7 @@ from repro.experiments.executor import (
     DEFAULT_CACHE_DIR,
     ParallelExecutor,
     ResultCache,
+    cache_stats,
 )
 from repro.experiments.runspec import ENGINES, RunSpec
 from repro.mmu.simulator import RunResult
@@ -255,6 +256,9 @@ class ReproService:
                     if self.executor.cache is not None else None
                 ),
                 "executor": executor,
+                # This process's rendered-workload and profile caches
+                # (pool workers keep their own for one batch).
+                "caches": cache_stats(),
             }
 
     def catalog(self) -> dict[str, list[str]]:

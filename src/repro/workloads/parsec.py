@@ -136,6 +136,11 @@ class WorkloadInstance:
     def name(self) -> str:
         return self.profile.name
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the rendered trace arrays."""
+        return self.trace.pages.nbytes + self.trace.is_write.nbytes
+
 
 # ----------------------------------------------------------------------
 # Per-workload phase builders

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -123,3 +127,26 @@ class TestParser:
     def test_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             main(["simulate", "--workload", "doom"])
+
+
+class TestStartup:
+    def test_run_path_does_not_import_the_linter(self):
+        """``import repro.cli`` and a simulated run (sanitizer on) load
+        the sanitizer only, never the lint machinery."""
+        probe = textwrap.dedent("""
+            import sys
+            import repro.cli
+            assert "repro.analysis.lint" not in sys.modules, "cli import"
+            from repro.experiments.runspec import RunSpec
+            RunSpec.core("raytrace", "proposed",
+                         request_scale=0.0005).execute()
+            assert "repro.analysis.sanitizer" in sys.modules
+            loaded = sorted(m for m in sys.modules
+                            if m.startswith("repro.analysis"))
+            assert "repro.analysis.lint" not in sys.modules, loaded
+            from repro.analysis import SanitizedPolicy, lint_paths
+            assert "repro.analysis.lint" in sys.modules
+        """)
+        completed = subprocess.run([sys.executable, "-c", probe],
+                                   capture_output=True, text=True)
+        assert completed.returncode == 0, completed.stderr

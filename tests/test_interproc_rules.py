@@ -119,9 +119,10 @@ class TestR013:
         original = (SRC_ROOT / "experiments" / "executor.py") \
             .read_text(encoding="utf-8")
         mutated = original.replace(
-            "_INSTANCES: dict[tuple, WorkloadInstance] = {}"
-            "  # repro: worker-local",
-            "_INSTANCES: dict[tuple, WorkloadInstance] = {}",
+            "_INSTANCES: ByteLRU[WorkloadInstance] = "
+            "ByteLRU(INSTANCE_BUDGET_BYTES)  # repro: worker-local",
+            "_INSTANCES: ByteLRU[WorkloadInstance] = "
+            "ByteLRU(INSTANCE_BUDGET_BYTES)",
         )
         assert mutated != original, "marker line moved; update the test"
         target = tmp_path / "executor.py"

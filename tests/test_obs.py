@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.executor import ParallelExecutor
+from repro.experiments.executor import ParallelExecutor, collect_events
 from repro.experiments.runspec import RunSpec
 from repro.memory.devices import dram_spec, hdd_spec, pcm_spec
 from repro.memory.specs import HybridMemorySpec
@@ -120,8 +120,9 @@ class TestExecutorDeterminism:
             assert left.events is not None
             assert left.events.to_dict() == right.events.to_dict()
         # the merged event-summary view is deterministic too
-        serial_pairs = serial.collected_events()
-        pooled_pairs = pooled.collected_events()
+        serial_pairs = collect_events(zip(specs, serial_results))
+        pooled_pairs = collect_events(
+            zip(reversed(specs), reversed(pooled_results)))
         assert [spec for spec, _ in serial_pairs] \
             == [spec for spec, _ in pooled_pairs]
         assert [summary.to_dict() for _, summary in serial_pairs] \

@@ -9,12 +9,19 @@ endpoint, error mapping, and clean shutdown.
 
 from __future__ import annotations
 
+import io
 import json
 import threading
+from http.client import HTTPConnection
+from pathlib import Path
 
 import pytest
 
+from repro.experiments import executor as executor_module
 from repro.experiments.executor import ResultCache
+from repro.experiments.runspec import RunSpec
+from repro.model import estimator
+from repro.model.profile import profile_workload
 from repro.serve import ReproServer, ReproService, ServeClient
 from repro.serve.client import ServeError
 from repro.serve.service import ServiceError
@@ -170,6 +177,58 @@ class TestServeHTTP:
         assert stats["executor"]["submitted"] >= stats["runs"]
         assert stats["uptime_seconds"] >= 0
 
+    def test_stats_reports_bounded_caches(self, endpoint):
+        client, _ = endpoint
+        client.run({**RUN, "engine": "analytic", "seed": 7})
+        caches = client.stats()["caches"]
+        assert set(caches) == {"workloads", "profiles"}
+        for cache in caches.values():
+            assert set(cache) == {"entries", "bytes", "budget", "evictions"}
+            assert 0 <= cache["bytes"] <= cache["budget"]
+        assert caches["workloads"]["entries"] >= 1
+        assert caches["profiles"]["entries"] >= 1
+
+    @pytest.mark.parametrize("path", ["/run", "/batch", "/traces"])
+    @pytest.mark.parametrize("length", ["abc", "-5", "1_0", "+5"])
+    def test_malformed_content_length_is_400(self, endpoint, path, length):
+        client, _ = endpoint
+        connection = HTTPConnection(client.host, client.port, timeout=60)
+        try:
+            connection.putrequest("POST", path)
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_invalid_utf8_upload_is_400(self, endpoint):
+        client, _ = endpoint
+        status, _ = client._request("POST", "/traces",
+                                    b"R 1\n# \xff\xfe\nW 2\n")
+        assert status == 400
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_streamed_upload_matches_in_process_ingest(self, endpoint,
+                                                       tmp_path, pad):
+        """A multibyte UTF-8 comment straddling every read-block
+        boundary: the streamed upload digests and spills exactly what
+        an in-process ingest of the same text does."""
+        client, _ = endpoint
+        text = ("# " + "x" * pad + "\n"
+                + "".join(f"{'W' if i % 5 == 0 else 'R'} {i % 97}\n"
+                          for i in range(3_000))
+                + "# " + "\u20ac" * 20_000 + "\n"
+                + "".join(f"R {i % 31}\n" for i in range(3_000)))
+        uploaded = client.upload_trace(text, name=f"straddle-{pad}")
+        local = ReproService(jobs=1, trace_root=tmp_path / "traces").ingest(
+            io.StringIO(text), name=f"straddle-{pad}")
+        assert uploaded == {**local.to_dict(), "path": uploaded["path"]}
+        assert Path(uploaded["path"]).read_bytes() \
+            == Path(local.path).read_bytes()
+
 
 class TestServeShutdown:
     def test_shutdown_endpoint_stops_server(self, tmp_path):
@@ -197,3 +256,54 @@ class TestEventPersistence:
         assert lines == list(result.events.trace_lines)
         for line in lines:
             json.loads(line)
+
+
+# ----------------------------------------------------------------------
+# Bounded per-process caches
+# ----------------------------------------------------------------------
+class TestBoundedCaches:
+    SCALE = 0.0005
+
+    def test_service_caches_stay_within_budget(self, tmp_path,
+                                               monkeypatch):
+        """Budgets of two workloads, four spec seeds, both cached
+        engines: after every request each cache is within budget, and
+        a cell re-run after its workload was evicted is identical."""
+        first = RunSpec.core("dedup", "proposed",
+                             request_scale=self.SCALE).render()
+        instances = executor_module._INSTANCES
+        profiles = estimator._PROFILES
+        instances.clear()
+        profiles.clear()
+        monkeypatch.setattr(instances, "budget", 2 * first.nbytes)
+        monkeypatch.setattr(profiles, "budget", 2 * profile_workload(
+            first, warmup_fraction=first.warmup_fraction).nbytes)
+        renders = []
+        render = RunSpec.render
+
+        def counting_render(spec):
+            renders.append(spec.seed)
+            return render(spec)
+
+        monkeypatch.setattr(RunSpec, "render", counting_render)
+        service = ReproService(jobs=1, trace_root=tmp_path / "traces")
+
+        def run(seed: int, engine: str) -> dict:
+            _, result = service.run({
+                "workload": "dedup", "policy": "proposed", "seed": seed,
+                "request_scale": self.SCALE, "engine": engine})
+            for cache in service.stats()["caches"].values():
+                assert cache["bytes"] <= cache["budget"]
+                assert cache["entries"] <= 2
+            return result.to_dict()
+
+        seeds = (11, 12, 13, 14)
+        before = {(seed, engine): run(seed, engine)
+                  for seed in seeds for engine in ("simulate", "analytic")}
+        assert renders == list(seeds)
+        caches = service.stats()["caches"]
+        assert caches["workloads"]["evictions"] >= 2
+        assert caches["profiles"]["evictions"] >= 2
+        for engine in ("simulate", "analytic"):
+            assert run(seeds[0], engine) == before[seeds[0], engine]
+        assert renders == [*seeds, seeds[0]]
