@@ -18,6 +18,12 @@ Measures the two hot loops this repository spends its CPU time in:
   detached (``events=None``, the default) versus attached with the
   standard sinks.  The events-off number is what the regression gate
   floors: the bus must stay zero-overhead when disabled.
+* **Single-tier LRU kernel** (report-only) — the DRAM-only/NVM-only
+  baselines' miss-driven kernel does Python work per fault, not per
+  request, so its throughput depends on the miss ratio.  Two rows put
+  both ends on record: a fault-light paper cell (streamcluster at
+  default scale) and a uniform trace over a footprint sized by the
+  paper's 75 % rule, so about 25 % of its requests miss.
 * **Pipeline phase breakdown** (report-only) — per-phase wall-clock of
   one representative grid cell: workload render vs cache filter vs
   simulator replay, so engine-level speedups (analytic, sampled) can
@@ -50,6 +56,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.cpu.filter import filter_trace
 from repro.cpu.hierarchy import cotson_hierarchy
 from repro.cpu.multicore import synthesize_cpu_trace
@@ -57,6 +65,7 @@ from repro.memory.specs import HybridMemorySpec
 from repro.mmu.simulator import HybridMemorySimulator
 from repro.obs import EventConfig
 from repro.policies.registry import policy_factory
+from repro.trace.trace import Trace
 from repro.workloads.synthetic import zipf_workload
 
 #: Policies measured with the event bus attached vs detached.
@@ -64,6 +73,9 @@ EVENT_POLICIES = ("proposed", "clock-dwf")
 
 #: Policies on the policy-throughput grid (the figure-4 core set).
 POLICIES = ("proposed", "clock-dwf", "dram-only", "nvm-only")
+
+#: The single-module baselines, timed on their best and worst case.
+SINGLE_TIER_POLICIES = ("dram-only", "nvm-only")
 
 #: zipf workload sizes: full (local measurement) and --fast (CI smoke).
 FULL_SIZE = dict(pages=4000, requests=500_000)
@@ -185,6 +197,59 @@ def bench_events(size: dict, reps: int) -> dict:
         print(f"  events {name:10s}  off {off/1e3:7.1f}k req/s  "
               f"on {on/1e3:7.1f}k req/s  overhead {off / on:.2f}x")
     return {"workload": "zipf", **size, "results": rows}
+
+
+def bench_single_tier(size: dict, reps: int) -> dict:
+    """Report-only: the single-tier kernel on its best and worst case.
+
+    ``streamcluster`` is the paper cell with the fewest faults per
+    request; the uniform trace spreads ``size["requests"]`` requests
+    evenly over ``size["pages"]`` pages, so a memory of 75 % of the
+    footprint misses about a quarter of them.  Each row times the
+    batched kernel against the per-request ``access`` loop on the full
+    trace (no warm-up split) and records the miss ratio it ran at.
+    """
+    from repro.experiments.runspec import RunSpec
+
+    rng = np.random.default_rng(2016)
+    uniform = Trace(rng.integers(0, size["pages"], size["requests"]),
+                    rng.random(size["requests"]) < 0.3, name="uniform")
+    rows: dict[str, dict] = {}
+    for label in ("streamcluster", "uniform"):
+        row: dict = {}
+        for name in SINGLE_TIER_POLICIES:
+            if label == "uniform":
+                trace, spec = uniform, policy_spec(name, size["pages"])
+            else:
+                run_spec = RunSpec.core(label, name)
+                instance = run_spec.render()
+                trace = instance.trace
+                spec = run_spec.machine_spec(instance)
+
+            def simulate(batch: bool, spec=spec, trace=trace, name=name):
+                simulator = HybridMemorySimulator(
+                    spec, policy_factory(name), sanitize=False,
+                    batch=batch,
+                )
+                return simulator.run(trace)
+
+            requests = len(trace)
+            batched = requests / best_of(lambda: simulate(True), reps)
+            per_request = requests / best_of(lambda: simulate(False), reps)
+            miss_ratio = simulate(True).accounting.p_miss
+            row["requests"] = requests
+            row[name] = {
+                "batch_rps": round(batched),
+                "per_request_rps": round(per_request),
+                "speedup": round(batched / per_request, 3),
+                "miss_ratio": round(miss_ratio, 4),
+            }
+            print(f"  {label:13s} {name:9s}  batch {batched/1e3:7.1f}k "
+                  f"req/s  per-request {per_request/1e3:7.1f}k req/s  "
+                  f"speedup {batched / per_request:.2f}x  "
+                  f"(miss {miss_ratio:.1%})")
+        rows[label] = row
+    return {"report_only": True, "results": rows}
 
 
 def bench_pipeline(fast: bool, reps: int) -> dict:
@@ -311,6 +376,8 @@ def main() -> int:
     filters = bench_filter(args.fast, args.reps)
     print("observability overhead:")
     events = bench_events(size, args.reps)
+    print("single-tier LRU kernel (report-only):")
+    single_tier = bench_single_tier(size, args.reps)
     print("pipeline phase breakdown:")
     pipeline = bench_pipeline(args.fast, args.reps)
 
@@ -323,6 +390,7 @@ def main() -> int:
         "policies": policies,
         "filter": filters,
         "events": events,
+        "single_tier": single_tier,
         "pipeline": pipeline,
     }
     with open(args.output, "w", encoding="utf-8") as handle:

@@ -33,12 +33,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import fields
-from typing import TYPE_CHECKING
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable
 
-from repro.mmu.dma import Channel
 from repro.mmu.page import PageLocation
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.mmu.manager import MemoryManager
     from repro.policies.base import HybridMemoryPolicy
 
@@ -50,18 +52,6 @@ SANITIZE_ENV = "REPRO_SANITIZE"
 #: the per-request checks on realistic traces while still bounding how
 #: long structural corruption can go unnoticed.
 DEFAULT_DEEP_EVERY = 4096
-
-# Directed DMA channels grouped by the model-level event they realise.
-_FAULT_CHANNELS = (
-    Channel(PageLocation.DISK, PageLocation.DRAM),
-    Channel(PageLocation.DISK, PageLocation.NVM),
-)
-_EVICTION_CHANNELS = (
-    Channel(PageLocation.DRAM, PageLocation.DISK),
-    Channel(PageLocation.NVM, PageLocation.DISK),
-)
-_PROMOTION_CHANNEL = Channel(PageLocation.NVM, PageLocation.DRAM)
-_DEMOTION_CHANNEL = Channel(PageLocation.DRAM, PageLocation.NVM)
 
 
 def sanitize_default() -> bool:
@@ -75,15 +65,19 @@ class SanitizerError(AssertionError):
     """A simulation invariant was violated."""
 
 
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}  # repro: worker-local
+#: Per accounting type: its counter names and one getter for all.
+_Getter = tuple[tuple[str, ...], Callable[[object], tuple[int, ...]]]
+_FIELD_GETTERS: dict[type, _Getter] = {}  # repro: worker-local
 
 
 def _counter_snapshot(accounting: object) -> dict[str, int]:
-    names = _FIELD_NAMES.get(type(accounting))
-    if names is None:
+    cached = _FIELD_GETTERS.get(type(accounting))
+    if cached is None:
         names = tuple(f.name for f in fields(accounting))
-        _FIELD_NAMES[type(accounting)] = names
-    return {name: getattr(accounting, name) for name in names}
+        cached = names, attrgetter(*names)
+        _FIELD_GETTERS[type(accounting)] = cached
+    names, getter = cached
+    return dict(zip(names, getter(accounting)))
 
 
 class SimulationSanitizer:
@@ -128,14 +122,26 @@ class SimulationSanitizer:
         )
 
     def _dma_counts(self) -> tuple[int, int, int, int]:
-        """(faults, evictions, promotions, demotions) from the DMA log."""
-        transfers = self.mm.dma.transfers
-        return (
-            sum(transfers.get(channel, 0) for channel in _FAULT_CHANNELS),
-            sum(transfers.get(channel, 0) for channel in _EVICTION_CHANNELS),
-            transfers.get(_PROMOTION_CHANNEL, 0),
-            transfers.get(_DEMOTION_CHANNEL, 0),
-        )
+        """(faults, evictions, promotions, demotions) from the DMA log.
+
+        Classifies the log's (at most six) channels by endpoint rather
+        than looking channels up: hashing a ``Channel`` runs the
+        dataclass's Python-level ``__hash__``, and this runs after
+        every request.
+        """
+        disk = PageLocation.DISK
+        dram = PageLocation.DRAM
+        faults = evictions = to_dram = to_nvm = 0
+        for channel, count in self.mm.dma.transfers.items():
+            if channel.source is disk:
+                faults += count
+            elif channel.destination is disk:
+                evictions += count
+            elif channel.destination is dram:
+                to_dram += count
+            else:
+                to_nvm += count
+        return faults, evictions, to_dram, to_nvm
 
     def _fail(self, message: str) -> None:
         raise SanitizerError(f"sanitizer: {message}")
@@ -363,21 +369,24 @@ class SanitizedPolicy:
         self._inner.access(page, is_write)
         self.sanitizer.after_access(page, is_write)
 
-    def access_batch(self, pages: list[int], writes: list[bool]) -> None:
+    def access_batch(self, pages: np.ndarray, writes: np.ndarray) -> None:
         """Instrumented batch kernel: check invariants after every request.
 
         Feeds the wrapped policy's *real* ``access_batch`` one request
-        at a time, so sanitized runs (the whole test suite) exercise
-        the policy's optimised batch kernel — including its inlined
-        fast paths — while the per-request contract (record_request
-        exactly once, counter monotonicity, DMA/wear identities) is
-        still asserted between requests.  The simulator selects this
-        kernel once at setup; the plain path has no sanitizer branch.
+        at a time, as one-element slices of the chunk's numpy arrays
+        (the same array protocol the simulator uses), so sanitized
+        runs (the whole test suite) exercise the policy's optimised
+        batch kernel — including its inlined fast paths — while the
+        per-request contract (record_request exactly once, counter
+        monotonicity, DMA/wear identities) is still asserted between
+        requests.  The simulator selects this kernel once at setup;
+        the plain path has no sanitizer branch.
         """
         inner_batch = self._inner.access_batch
         after_access = self.sanitizer.after_access
-        for page, is_write in zip(pages, writes):
-            inner_batch((page,), (is_write,))
+        for index, (page, is_write) in enumerate(
+                zip(pages.tolist(), writes.tolist())):
+            inner_batch(pages[index:index + 1], writes[index:index + 1])
             after_access(page, is_write)
 
     def validate(self) -> None:  # repro: cold

@@ -20,6 +20,8 @@ only decides when pages cross between them:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import DEFAULT_CONFIG, MigrationConfig
 from repro.core.lru import LRUNode, LRUQueue
 from repro.mmu.dma import channel as _dma_channel
@@ -81,7 +83,7 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
         else:
             self._page_fault(page, is_write)
 
-    def access_batch(self, pages: list[int], writes: list[bool]) -> None:
+    def access_batch(self, pages: np.ndarray, writes: np.ndarray) -> None:
         """Batched kernel: Algorithm 1 with the hot paths fully inlined.
 
         Semantically identical to looping over :meth:`access` — the
@@ -226,7 +228,7 @@ class MigrationLRUPolicy(HybridMemoryPolicy):
         moved_disk_dram = 0
 
         try:
-            for page, is_write in zip(pages, writes):
+            for page, is_write in zip(pages.tolist(), writes.tolist()):
                 node = dram_nodes_get(page)
                 if node is not None:
                     # --- DRAM hit: inline LRUQueue.touch (no windows) ---

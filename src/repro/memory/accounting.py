@@ -149,9 +149,9 @@ class AccessAccounting:
     # ----------------------------------------------------------------------
     def validate(self) -> None:  # repro: cold
         """Raise :class:`ValueError` on internally inconsistent counts."""
-        for field_info in fields(self):
-            if getattr(self, field_info.name) < 0:
-                raise ValueError(f"negative counter: {field_info.name}")
+        for name in _COUNTER_NAMES:
+            if getattr(self, name) < 0:
+                raise ValueError(f"negative counter: {name}")
         if self.hits + self.page_faults != self.total_requests:
             raise ValueError(
                 "hits + faults != requests "
@@ -200,6 +200,13 @@ class AccessAccounting:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AccessAccounting":
         return cls(**data)
+
+
+#: The counter names in declaration order.  ``validate`` runs after
+#: every request under the sanitizer, and ``fields()`` rebuilds its
+#: tuple on each call.
+_COUNTER_NAMES: tuple[str, ...] = tuple(
+    field_info.name for field_info in fields(AccessAccounting))
 
 
 @dataclass(slots=True)

@@ -368,7 +368,7 @@ class HybridMemorySimulator:
 
         Every chunk — whatever its size — drives the same kernels as a
         whole-trace replay (the batch kernels flush their deferred
-        accounting per call in their ``finally`` blocks, so totals are
+        accounting at the end of every call, so totals are
         bit-identical across chunkings), ``base`` keeps the
         ``validate_every`` cadence region-relative exactly as the
         unchunked replay had it, and the warm-up reset and the event
@@ -417,11 +417,19 @@ class HybridMemorySimulator:
         return done
 
     def _replay(self, trace: Trace, base: int = 0) -> None:
-        # The kernel is selected once per replay — per-request code
-        # never branches on sanitize/batch/validate_every (the
-        # sanitizer, when on, substituted an instrumented policy at
-        # construction time, so even the instrumented path is a
-        # straight loop).
+        """Replay one span through the selected kernel.
+
+        The kernel is selected once per replay — per-request code
+        never branches on sanitize/batch/validate_every (the
+        sanitizer, when on, substituted an instrumented policy at
+        construction time, so even the instrumented path is a
+        straight loop).  The batch path hands the policy the span's
+        own ``pages``/``is_write`` numpy arrays, uncopied; each
+        kernel decides whether it works on them as arrays or converts
+        them to lists once.  ``base`` is the span's first request
+        ordinal within its region (keeps the ``validate_every``
+        cadence region-relative).
+        """
         if self.validate_every > 0:
             access = self.policy.access
             validate = self.policy.validate
@@ -433,12 +441,7 @@ class HybridMemorySimulator:
                 if index % validate_every == 0:
                     validate()
         elif self.batch:
-            # One .tolist() each: the whole span becomes native
-            # ints/bools up front, and the policy's batch kernel runs
-            # without per-request dispatch from the simulator.
-            self.policy.access_batch(
-                trace.pages.tolist(), trace.is_write.tolist()
-            )
+            self.policy.access_batch(trace.pages, trace.is_write)
         else:
             access = self.policy.access
             for page, is_write in trace.iter_pairs():

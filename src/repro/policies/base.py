@@ -12,6 +12,8 @@ from __future__ import annotations
 import abc
 from typing import Callable
 
+import numpy as np
+
 from repro.mmu.manager import MemoryManager
 
 #: Factory signature used by the simulator and the registry.
@@ -55,16 +57,17 @@ class HybridMemoryPolicy(abc.ABC):
         the request counter advanced exactly once per ``access`` call.
         """
 
-    def access_batch(self, pages: list[int], writes: list[bool]) -> None:
-        """Handle a pre-decoded span of requests (the batched kernel).
+    def access_batch(self, pages: np.ndarray, writes: np.ndarray) -> None:
+        """Handle a span of requests (the batched kernel).
 
-        ``pages`` and ``writes`` are equal-length lists of native
-        Python ``int``/``bool`` (the simulator converts the trace's
-        numpy arrays once via ``.tolist()``).  The default
-        implementation simply loops over :meth:`access`, so every
-        policy is batch-drivable; hot policies override it with a
-        kernel that hoists bound methods out of the loop and serves
-        resident hits inline.
+        ``pages`` (int64) and ``writes`` (bool) are the equal-length
+        numpy arrays of one trace chunk, exactly as the simulator holds
+        them.  Kernels that walk the span request by request convert
+        them once at entry with ``.tolist()``; vectorised kernels work
+        on the arrays directly.  The default implementation simply
+        loops over :meth:`access`, so every policy is batch-drivable;
+        hot policies override it with a kernel that hoists bound
+        methods out of the loop and serves resident hits inline.
 
         Overrides are bound by the same contract as :meth:`access` —
         every request routes through ``self.mm.record_request``
@@ -75,7 +78,7 @@ class HybridMemoryPolicy(abc.ABC):
         per-request replay.
         """
         access = self.access
-        for page, is_write in zip(pages, writes):
+        for page, is_write in zip(pages.tolist(), writes.tolist()):
             access(page, is_write)
 
     def validate(self) -> None:  # repro: cold

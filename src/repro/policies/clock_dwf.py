@@ -20,6 +20,8 @@ Reimplemented from the published algorithm description:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.mmu.manager import MemoryManager
 from repro.mmu.page import PageLocation
 from repro.policies.base import HybridMemoryPolicy
@@ -167,7 +169,7 @@ class ClockDWFPolicy(HybridMemoryPolicy):
         else:
             self._page_fault(page, is_write)
 
-    def access_batch(self, pages: list[int], writes: list[bool]) -> None:
+    def access_batch(self, pages: np.ndarray, writes: np.ndarray) -> None:
         """Batched kernel: hit fast paths inlined, page dispatch fused.
 
         Bit-identical to looping over :meth:`access` (the golden
@@ -221,7 +223,7 @@ class ClockDWFPolicy(HybridMemoryPolicy):
         nvm_read_hits = 0
 
         try:
-            for page, is_write in zip(pages, writes):
+            for page, is_write in zip(pages.tolist(), writes.tolist()):
                 entry = entries_get(page)
                 if entry is None:
                     if bus is not None:

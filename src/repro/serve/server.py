@@ -29,6 +29,9 @@ endpoint    method  behaviour
 Streaming uses HTTP/1.0 connection-close delimiting — no chunked
 transfer encoding to hand-roll, and every stdlib/curl client handles
 it.  A malformed ``Content-Length`` (non-numeric, signed) is a 400.
+``/run`` and ``/batch`` read their JSON body into memory, so a
+declared length above :data:`MAX_JSON_BODY_BYTES` is a 413, answered
+before any of the body is read; ``/traces`` streams and has no cap.
 """
 
 from __future__ import annotations
@@ -41,6 +44,17 @@ from typing import Any, BinaryIO
 from urllib.parse import parse_qs, urlparse
 
 from repro.serve.service import ReproService, ServiceError
+
+#: Largest JSON body ``/run`` and ``/batch`` accept, in bytes.  A spec
+#: payload is a few hundred bytes, so even a ``/batch`` of the whole
+#: 48-cell claims grid is under 20 KB; this leaves room for batches
+#: hundreds of times larger while bounding what one request can make
+#: the server hold in memory.
+MAX_JSON_BODY_BYTES = 4 * 1024 * 1024
+
+
+class PayloadTooLarge(ServiceError):
+    """A JSON body declared larger than :data:`MAX_JSON_BODY_BYTES`."""
 
 
 class _BoundedBody(io.RawIOBase):
@@ -109,6 +123,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         length = self._content_length()
+        if length > MAX_JSON_BODY_BYTES:
+            raise PayloadTooLarge(
+                f"JSON body of {length} bytes exceeds the "
+                f"{MAX_JSON_BODY_BYTES}-byte limit")
         return self.rfile.read(length) if length else b""
 
     def _body_lines(self) -> io.TextIOWrapper:
@@ -184,6 +202,8 @@ class _Handler(BaseHTTPRequestHandler):
                                  daemon=True).start()
             else:
                 self._send_error_json(404, f"unknown path {url.path!r}")
+        except PayloadTooLarge as exc:
+            self._send_error_json(413, str(exc))
         except ServiceError as exc:
             self._send_error_json(400, str(exc))
         except Exception as exc:  # a failed run is a 500, not a crash

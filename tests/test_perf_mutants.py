@@ -44,7 +44,9 @@ class TestSeededMutants:
     def test_reinlined_dict_literal_flagged_r016(self, tmp_path):
         """Golden mutant: a per-request cost dict inside the fused loop."""
         target, original = _copy_kernel(tmp_path, "core/migration.py")
-        anchor = "            for page, is_write in zip(pages, writes):\n"
+        anchor = (
+            "            for page, is_write in zip(pages.tolist(), "
+            "writes.tolist()):\n")
         assert anchor in original
         mutated = original.replace(
             anchor,

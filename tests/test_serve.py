@@ -24,6 +24,7 @@ from repro.model import estimator
 from repro.model.profile import profile_workload
 from repro.serve import ReproServer, ReproService, ServeClient
 from repro.serve.client import ServeError
+from repro.serve.server import MAX_JSON_BODY_BYTES
 from repro.serve.service import ServiceError
 
 RUN = {"workload": "dedup", "policy": "proposed", "request_scale": 0.05}
@@ -203,6 +204,26 @@ class TestServeHTTP:
             connection.close()
         assert response.status == 400
         assert "Content-Length" in body["error"]
+
+    @pytest.mark.parametrize("path", ["/run", "/batch"])
+    def test_oversized_json_body_is_413_before_reading(self, endpoint,
+                                                        path):
+        # Only the headers are sent: the server must answer from the
+        # declared length alone, without waiting for the body.
+        client, _ = endpoint
+        connection = HTTPConnection(client.host, client.port, timeout=60)
+        try:
+            connection.putrequest("POST", path)
+            connection.putheader("Content-Length",
+                                 str(MAX_JSON_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 413
+        assert str(MAX_JSON_BODY_BYTES) in body["error"]
+        assert client.healthz()
 
     def test_invalid_utf8_upload_is_400(self, endpoint):
         client, _ = endpoint
